@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -92,6 +93,9 @@ type backend interface {
 	// restarts. CPU time is charged only while the node runs, so unlike
 	// wall time it does not grow with the CPU a shared host steals.
 	cpuSeconds() float64
+	// walFsyncs is the number of write-ahead-log fsyncs the running node
+	// has made since it started.
+	walFsyncs() (float64, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -224,6 +228,24 @@ func (b *procBackend) do(o op) (reply, error) {
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	return reply{status: resp.StatusCode, body: body, dur: time.Since(start)}, err
+}
+
+// walFsyncs reads group_fsyncs from the server's /stats.
+func (b *procBackend) walFsyncs() (float64, error) {
+	resp, err := b.client.Get(b.base + "/stats")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Persistence struct {
+			GroupFsyncs float64 `json:"group_fsyncs"`
+		} `json:"persistence"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("/stats: status %d: %v", resp.StatusCode, err)
+	}
+	return st.Persistence.GroupFsyncs, nil
 }
 
 // peakRSSMB reads the server's VmHWM (peak resident set) in MB.
@@ -370,3 +392,7 @@ func (b *inprocBackend) do(o op) (reply, error) {
 func (b *inprocBackend) peakRSSMB() float64 { return vmHWM(os.Getpid()) }
 
 func (b *inprocBackend) cpuSeconds() float64 { return selfCPU() }
+
+func (b *inprocBackend) walFsyncs() (float64, error) {
+	return float64(b.manager.Stats().GroupFsyncs), nil
+}

@@ -50,9 +50,14 @@ func readSet(path string) ([]runRecord, error) {
 	return out, sc.Err()
 }
 
-// benchSpec is the part of BENCHMARK.json compare needs.
+// specPath is the benchmark definition; run.sh starts the benchmark at
+// the root of the tree, where it lives.
+const specPath = "BENCHMARK.json"
+
+// benchSpec is the part of BENCHMARK.json compare and steady need.
 type benchSpec struct {
-	EndToEnd []struct {
+	RunSeconds float64 `json:"run_seconds"`
+	EndToEnd   []struct {
 		Name   string  `json:"name"`
 		Unit   string  `json:"unit"`
 		Better string  `json:"better"`
@@ -60,9 +65,9 @@ type benchSpec struct {
 	} `json:"end_to_end"`
 }
 
-func readSpec(path string) (benchSpec, error) {
+func readSpec() (benchSpec, error) {
 	var s benchSpec
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(specPath)
 	if err != nil {
 		return s, err
 	}
@@ -143,21 +148,19 @@ func judge(a, b []float64, lowerBetter bool, bound float64) verdict {
 }
 
 func compareMain(args []string) int {
-	fl := flag.NewFlagSet("compare", flag.ContinueOnError)
-	specPath := fl.String("spec", "BENCHMARK.json", "benchmark definition holding the bounds")
-	if err := fl.Parse(args); err != nil || fl.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: vobench compare [-spec BENCHMARK.json] A.jsonl B.jsonl")
+	if len(args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: vobench compare A.jsonl B.jsonl")
 		return 2
 	}
-	spec, err := readSpec(*specPath)
+	spec, err := readSpec()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vobench compare:", err)
 		return 1
 	}
-	a, err := readSet(fl.Arg(0))
+	a, err := readSet(args[0])
 	if err == nil {
 		var b []runRecord
-		b, err = readSet(fl.Arg(1))
+		b, err = readSet(args[1])
 		if err == nil {
 			return compareSets(os.Stdout, spec, a, b)
 		}
@@ -236,32 +239,24 @@ func values(rs []runRecord, name string) []float64 {
 	return out
 }
 
-// steadyMain runs one workload as two sets of runs of the same code,
-// seeds 1..N in each, alternating which set runs first, prints each
-// set's spread (quartile distance over median) per metric, and compares
-// the sets.
+// steadyRuns is the number of runs in each of steady's two sets.
+const steadyRuns = 10
+
+// steadyMain runs one workload as two sets of ten runs of the same code,
+// seeds 1..10 in each, at BENCHMARK.json's run_seconds, alternating which
+// set runs first; it prints each set's spread (quartile distance over
+// median) per metric and compares the sets.
 func steadyMain(args []string) int {
 	fl := flag.NewFlagSet("steady", flag.ContinueOnError)
 	workload := fl.String("workload", "", "workload to run")
-	runs := fl.Int("runs", 10, "runs per set")
-	seconds := fl.Float64("seconds", 0, "measured seconds per run (0: BENCHMARK.json run_seconds)")
-	specPath := fl.String("spec", "BENCHMARK.json", "benchmark definition")
 	if err := fl.Parse(args); err != nil || *workload == "" {
-		fmt.Fprintln(os.Stderr, "usage: vobench steady --workload NAME [--runs N] [--seconds S]")
+		fmt.Fprintln(os.Stderr, "usage: vobench steady --workload NAME")
 		return 2
 	}
-	spec, err := readSpec(*specPath)
+	spec, err := readSpec()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vobench steady:", err)
 		return 1
-	}
-	if *seconds == 0 {
-		var rs struct {
-			RunSeconds float64 `json:"run_seconds"`
-		}
-		data, _ := os.ReadFile(*specPath)
-		json.Unmarshal(data, &rs)
-		*seconds = rs.RunSeconds
 	}
 	self, err := os.Executable()
 	if err != nil {
@@ -279,13 +274,13 @@ func steadyMain(args []string) int {
 		}
 		defer files[i].Close()
 	}
-	for i := 1; i <= *runs; i++ {
+	for i := 1; i <= steadyRuns; i++ {
 		order := []int{0, 1}
 		if i%2 == 0 {
 			order = []int{1, 0}
 		}
 		for _, set := range order {
-			line, err := runOnce(self, *workload, uint64(i), *seconds)
+			line, err := runOnce(self, *workload, uint64(i), spec.RunSeconds)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "vobench steady:", err)
 				return 1

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/linkeddata"
 	"repro/internal/raster"
 	"repro/internal/scene"
 )
@@ -255,8 +256,10 @@ func genNearPool(seed uint64) []nearSpec {
 // search and 10% near, each a Zipf-weighted pick from its pool.
 func genCatalogueSequence(seed uint64, c *catalogue, searches []searchSpec, nears []nearSpec, n int) []request {
 	r := newRand(seed, streamSequence)
-	// A flattened head (v = 50): the 128 most popular texts draw about
-	// 30% of the requests, so most reads miss the result cache.
+	// A flattened head (v = 20): by the harmonic sums the 128 most
+	// popular texts of a pool draw about 41% of the searches and 52% of
+	// the nears. Both classes share the 128-entry result cache, so most
+	// reads miss it (README.md gives the measured hit ratio).
 	zs := rand.NewZipf(r, 1.01, 20, uint64(len(searches)-1))
 	zn := rand.NewZipf(r, 1.01, 20, uint64(len(nears)-1))
 	// Zipf ranks map onto a seeded permutation, so the popular texts
@@ -423,11 +426,37 @@ const (
 )
 
 type feedData struct {
-	Frames  []*raster.Frame
 	AuxNT   []byte
 	AuxSize int
-	// FirePixels[i] is the oracle's fire-pixel count for frame i.
-	FirePixels []int
+	// Aux holds every feature of the fire map's four auxiliary layers,
+	// and Land the landmass the refinement tests hotspots against.
+	Aux  []auxFeature
+	Land shape
+}
+
+// auxFeature is one feature of a fire map's auxiliary layers.
+type auxFeature struct {
+	layer, iri string
+	s          shape
+}
+
+// mapLayers lists the linked-data features of the fire map's auxiliary
+// layers, from the scene they were generated from.
+func mapLayers() []auxFeature {
+	var out []auxFeature
+	for _, s := range scene.ArchaeologicalSites() {
+		out = append(out, auxFeature{"sites", linkeddata.GeoNamesNS + "site/" + s.Name, geoShape(s.Loc)})
+	}
+	for _, t := range scene.Towns() {
+		out = append(out, auxFeature{"towns", linkeddata.GeoNamesNS + "town/" + t.Name, geoShape(t.Loc)})
+	}
+	for _, r := range scene.Roads() {
+		out = append(out, auxFeature{"roads", linkeddata.LGDNS + "road/" + r.Name, geoShape(r.Path)})
+	}
+	for i, f := range scene.Forests() {
+		out = append(out, auxFeature{"forests", fmt.Sprintf("%sarea/%d", linkeddata.CorineNS, i+1), geoShape(f.Area)})
+	}
+	return out
 }
 
 func genFires(seed uint64) []scene.FireEvent {
@@ -488,16 +517,34 @@ func genFires(seed uint64) []scene.FireEvent {
 	return fires
 }
 
-func genFeed(seed uint64, auxNT []byte, auxTriples int) *feedData {
-	start := raster.DefaultStart.Add(time.Duration(seed%1000) * 24 * time.Hour)
+// feedEpisode is one episode's acquisitions.
+type feedEpisode struct {
+	Frames []*raster.Frame
+	// FirePixels[i] is the oracle's fire-pixel count for frame i.
+	FirePixels []int
+}
+
+// genEpisode draws the frames of episode ep (0–255). Each episode of a
+// run burns its own fires, so a run's figures average over several fire
+// layouts instead of repeating one.
+func genEpisode(seed uint64, ep int) *feedEpisode {
+	es := seed<<8 | uint64(ep&0xff)
+	start := raster.DefaultStart.Add(time.Duration(es%1000) * 24 * time.Hour)
 	frames := raster.Generate(raster.GenOptions{
 		Width: feedFrameSize, Height: feedFrameSize, Steps: feedAcquisitions,
-		Start: start, Fires: genFires(seed), Seed: seed,
+		Start: start, Fires: genFires(es), Seed: es,
 	})
-	d := &feedData{Frames: frames}
+	e := &feedEpisode{Frames: frames}
 	for _, f := range frames {
-		d.FirePixels = append(d.FirePixels, countFirePixels(f))
+		e.FirePixels = append(e.FirePixels, countFirePixels(f))
 	}
+	return e
+}
+
+// genFeed draws the feed's set-up data: the auxiliary sites and the
+// archive, next to the linked open data layers.
+func genFeed(seed uint64, auxNT []byte, auxTriples int) *feedData {
+	d := &feedData{Aux: mapLayers(), Land: geoShape(scene.Landmass())}
 	r := newRand(seed, streamAux)
 	var w ntWriter
 	w.Write(auxNT)
@@ -512,6 +559,7 @@ func genFeed(seed uint64, auxNT []byte, auxTriples int) *feedData {
 		w.lit(iri, rdfsLbl, fmt.Sprintf("Aux site %d", i), "")
 		w.lit(iri, nsNOA+"hasGeometry", fmt.Sprintf("POINT (%s %s)", ff(pt.X), ff(pt.Y)), wktDT)
 		d.AuxSize += 3
+		d.Aux = append(d.Aux, auxFeature{"sites", iri, shape{parts: [][]point{{pt}}}})
 	}
 	// The archive of earlier acquisitions: catalogue metadata the feed's
 	// writes land next to, so every snapshot rebuild and checkpoint pays

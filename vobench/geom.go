@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/geo"
 )
 
 // The benchmark's own geometry, kept apart from internal/geo so that the
@@ -95,15 +97,28 @@ func anyVertexInside(pts, rings [][]point) bool {
 	return false
 }
 
+// edgesCross reports whether an edge of a crosses or touches an edge of b.
 func edgesCross(a, b [][]point) bool {
 	orient := func(p, q, r point) float64 { return (q.X-p.X)*(r.Y-p.Y) - (q.Y-p.Y)*(r.X-p.X) }
+	// on reports whether r, collinear with p and q, lies between them.
+	on := func(p, q, r point) bool {
+		return math.Min(p.X, q.X) <= r.X && r.X <= math.Max(p.X, q.X) &&
+			math.Min(p.Y, q.Y) <= r.Y && r.Y <= math.Max(p.Y, q.Y)
+	}
 	for _, pa := range a {
 		for i := 1; i < len(pa); i++ {
 			for _, pb := range b {
 				for j := 1; j < len(pb); j++ {
-					d1, d2 := orient(pb[j-1], pb[j], pa[i-1]), orient(pb[j-1], pb[j], pa[i])
-					d3, d4 := orient(pa[i-1], pa[i], pb[j-1]), orient(pa[i-1], pa[i], pb[j])
-					if d1*d2 <= 0 && d3*d4 <= 0 {
+					a0, a1, b0, b1 := pa[i-1], pa[i], pb[j-1], pb[j]
+					d1, d2 := orient(b0, b1, a0), orient(b0, b1, a1)
+					d3, d4 := orient(a0, a1, b0), orient(a0, a1, b1)
+					if d1*d2 < 0 && d3*d4 < 0 {
+						return true
+					}
+					// An endpoint on the other segment; this also keeps
+					// collinear segments that do not overlap apart.
+					if d1 == 0 && on(b0, b1, a0) || d2 == 0 && on(b0, b1, a1) ||
+						d3 == 0 && on(a0, a1, b0) || d4 == 0 && on(a0, a1, b1) {
 						return true
 					}
 				}
@@ -137,6 +152,61 @@ func segDist(p, a, b point) float64 {
 		t = math.Max(0, math.Min(1, ((p.X-a.X)*dx+(p.Y-a.Y)*dy)/l))
 	}
 	return math.Hypot(p.X-(a.X+t*dx), p.Y-(a.Y+t*dy))
+}
+
+// geoShape converts a generated geometry (scene layers, detected
+// hotspots) into a shape.
+func geoShape(g geo.Geometry) shape {
+	pts := func(cs []geo.Point) []point {
+		out := make([]point, len(cs))
+		for i, c := range cs {
+			out[i] = point{c.X, c.Y}
+		}
+		return out
+	}
+	polygon := func(p geo.Polygon) [][]point {
+		parts := [][]point{pts(p.Exterior.Coords)}
+		for _, h := range p.Holes {
+			parts = append(parts, pts(h.Coords))
+		}
+		return parts
+	}
+	switch g := g.(type) {
+	case geo.Point:
+		return shape{parts: [][]point{{{g.X, g.Y}}}}
+	case geo.LineString:
+		return shape{parts: [][]point{pts(g.Coords)}}
+	case geo.Polygon:
+		return shape{parts: polygon(g), polygon: true}
+	case geo.MultiPolygon:
+		var s shape
+		for _, p := range g.Polygons {
+			s.parts = append(s.parts, polygon(p)...)
+		}
+		s.polygon = true
+		return s
+	}
+	panic(fmt.Sprintf("geoShape: unexpected geometry %T", g))
+}
+
+// bounds is the lon/lat rectangle around a shape.
+func (s shape) bounds() box {
+	b := box{math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)}
+	for _, part := range s.parts {
+		for _, p := range part {
+			b = box{math.Min(b.MinX, p.X), math.Min(b.MinY, p.Y), math.Max(b.MaxX, p.X), math.Max(b.MaxY, p.Y)}
+		}
+	}
+	return b
+}
+
+// apart reports whether two rectangles in the Greek region lie more than
+// m metres apart, by a lower bound on the distance: a degree of latitude
+// spans at least 110.5 km and one of longitude at least 80 km below 43°N.
+func apart(a, b box, m float64) bool {
+	dx := math.Max(0, math.Max(a.MinX-b.MaxX, b.MinX-a.MaxX)) * 80000
+	dy := math.Max(0, math.Max(a.MinY-b.MaxY, b.MinY-a.MaxY)) * 110500
+	return math.Hypot(dx, dy) > m
 }
 
 // geoJSONShape decodes a GeoJSON geometry object.

@@ -9,7 +9,7 @@
 //
 //	vobench --workload NAME --seed N --seconds S --trace 0|1
 //	vobench compare A.jsonl B.jsonl
-//	vobench steady --workload NAME [--runs N] [--seconds S]
+//	vobench steady --workload NAME
 package main
 
 import (
@@ -42,6 +42,7 @@ var endToEnd = []metric{
 	{"load_cpu_us_per_triple", "us", "lower"},
 	{"cpu_ms_per_op", "ms", "lower"},
 	{"disk_bytes_per_triple", "B", "lower"},
+	{"wal_fsyncs_per_write", "count", "lower"},
 }
 
 // perLayer lists the traced run's metrics.
@@ -107,7 +108,6 @@ func runMain(args []string) int {
 	seed := fl.Uint64("seed", 1, "input seed")
 	seconds := fl.Float64("seconds", 10, "measured seconds")
 	trace := fl.Int("trace", 0, "1: traced in-process run reporting per-layer metrics")
-	keep := fl.Bool("keep", false, "keep the run's data directories")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -127,9 +127,6 @@ func runMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "vobench:", err)
 		return 1
 	}
-	if !*keep {
-		defer os.RemoveAll(dir)
-	}
 	r := &run{
 		seed:    *seed,
 		seconds: time.Duration(*seconds * float64(time.Second)),
@@ -144,6 +141,13 @@ func runMain(args []string) int {
 	}
 	err := fn(r)
 	r.killAll()
+	// A run that went wrong keeps its data directories and server logs
+	// for inspection; any other run removes them.
+	if err != nil || len(r.out.problems) > 0 {
+		fmt.Fprintln(os.Stderr, "vobench: run directory kept:", dir)
+	} else {
+		os.RemoveAll(dir)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vobench: %s: %v\n", *workload, err)
 		return 1

@@ -4,7 +4,7 @@
 #
 #   bash vobench/run.sh --workload catalogue-search --seed 1 --seconds 20 --trace 0
 #   bash vobench/run.sh compare A.jsonl B.jsonl
-#   bash vobench/run.sh steady --workload fire-feed --runs 5
+#   bash vobench/run.sh steady --workload fire-feed
 #
 # Everything the build and the runs write stays under .bench_build/ at
 # the root of the checkout, or under $CARGO_TARGET_DIR when that is set.

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/geo"
+	"repro/internal/noa"
 	"repro/internal/raster"
 )
 
@@ -50,8 +52,12 @@ func TestSeedDeterminesInputs(t *testing.T) {
 	if !bytes.Equal(a.AuxNT, b.AuxNT) || bytes.Equal(a.AuxNT, c.AuxNT) {
 		t.Fatal("fire-feed auxiliary N-Triples not determined by the seed")
 	}
-	if fmt.Sprint(a.FirePixels) != fmt.Sprint(b.FirePixels) || fmt.Sprint(a.FirePixels) == fmt.Sprint(c.FirePixels) {
-		t.Fatalf("fire pixels not determined by the seed: %v %v %v", a.FirePixels, b.FirePixels, c.FirePixels)
+	e, f, g, h := genEpisode(3, 0), genEpisode(3, 0), genEpisode(4, 0), genEpisode(3, 1)
+	if fmt.Sprint(e.FirePixels) != fmt.Sprint(f.FirePixels) || fmt.Sprint(e.FirePixels) == fmt.Sprint(g.FirePixels) {
+		t.Fatalf("fire pixels not determined by the seed: %v %v %v", e.FirePixels, f.FirePixels, g.FirePixels)
+	}
+	if fmt.Sprint(e.FirePixels) == fmt.Sprint(h.FirePixels) {
+		t.Fatalf("episodes 0 and 1 burn the same fires: %v", e.FirePixels)
 	}
 }
 
@@ -175,6 +181,17 @@ func TestShapeDistanceAgreesWithBruteForce(t *testing.T) {
 	if d := shapeDistance(shape{parts: [][]point{{{24.005, 38.005}}}}, square); d != 0 {
 		t.Fatalf("inside point: %v", d)
 	}
+	// Squares on one line but apart are as far apart as their nearest
+	// corners; squares sharing a stretch of edge touch.
+	rect := func(x0, x1 float64) shape {
+		return shape{parts: [][]point{{{x0, 38}, {x1, 38}, {x1, 38.01}, {x0, 38.01}, {x0, 38}}}, polygon: true}
+	}
+	if got, want := shapeDistance(rect(24.02, 24.03), square), haversine(point{24.01, 38}, point{24.02, 38}); math.Abs(got-want) > 0.01*want {
+		t.Fatalf("collinear squares: shapeDistance %.1f, want %.1f", got, want)
+	}
+	if d := shapeDistance(rect(24.005, 24.03), square); d != 0 {
+		t.Fatalf("overlapping squares: %v", d)
+	}
 	r := rand.New(rand.NewPCG(5, 6))
 	for k := 0; k < 50; k++ {
 		p := point{uniform(r, 23.9, 24.1), uniform(r, 37.9, 38.1)}
@@ -182,6 +199,88 @@ func TestShapeDistanceAgreesWithBruteForce(t *testing.T) {
 		want := bruteBoxDistance(p, box{24, 38, 24.01, 38.01})
 		if math.Abs(got-want) > 0.01*want+2 {
 			t.Fatalf("point %v: shapeDistance %.1f, brute force %.1f", p, got, want)
+		}
+	}
+}
+
+// TestFireMapCheckIsTwoSided builds a tiny fire map instance: a square
+// landmass, one inland hotspot the refinement keeps, one at sea it
+// rejects, and sites scattered around the kept one.
+func TestFireMapCheckIsTwoSided(t *testing.T) {
+	land := geo.Polygon{Exterior: geo.Ring{Coords: []geo.Point{{X: 23, Y: 37}, {X: 25, Y: 37}, {X: 25, Y: 39}, {X: 23, Y: 39}, {X: 23, Y: 37}}}}
+	hotBox := box{24, 38, 24.01, 38.008}
+	seaBox := box{25.5, 38, 25.51, 38.008}
+	poly := func(b box) geo.Polygon {
+		return geo.Polygon{Exterior: geo.Ring{Coords: []geo.Point{{X: b.MinX, Y: b.MinY}, {X: b.MaxX, Y: b.MinY}, {X: b.MaxX, Y: b.MaxY}, {X: b.MinX, Y: b.MaxY}, {X: b.MinX, Y: b.MinY}}}}
+	}
+	p := &noa.Product{FrameID: "f1", Hotspots: []noa.Hotspot{{ID: "f1/hs1", Geometry: poly(hotBox)}, {ID: "f1/hs2", Geometry: poly(seaBox)}}}
+	hotIRI, seaIRI := noa.HotspotIRI(p.Hotspots[0]).Value, noa.HotspotIRI(p.Hotspots[1]).Value
+	feed := &feedData{Land: geoShape(land)}
+	r := rand.New(rand.NewPCG(7, 8))
+	var within, beyond []auxFeature
+	for k := 0; k < 60; k++ {
+		pt := point{uniform(r, 23.8, 24.2), uniform(r, 37.85, 38.15)}
+		f := auxFeature{"sites", fmt.Sprintf("site/%d", k), shape{parts: [][]point{{pt}}}}
+		switch d := bruteBoxDistance(pt, hotBox); {
+		case d < 0.985*feedMapRadius:
+			within = append(within, f)
+		case d > 1.015*feedMapRadius:
+			beyond = append(beyond, f)
+		default:
+			continue // the band where planar and great-circle distance may disagree
+		}
+		feed.Aux = append(feed.Aux, f)
+	}
+	if len(within) < 5 || len(beyond) < 5 {
+		t.Fatalf("degenerate instance: %d within, %d beyond", len(within), len(beyond))
+	}
+	type feat struct {
+		layer, iri string
+		geom       any
+	}
+	hotspot := func(iri string, b box) feat {
+		c := poly(b).Exterior.Coords
+		ring := make([][2]float64, len(c))
+		for i, q := range c {
+			ring[i] = [2]float64{q.X, q.Y}
+		}
+		return feat{"hotspots", iri, map[string]any{"type": "Polygon", "coordinates": [][][2]float64{ring}}}
+	}
+	site := func(f auxFeature) feat {
+		q := f.s.parts[0][0]
+		return feat{f.layer, f.iri, map[string]any{"type": "Point", "coordinates": []float64{q.X, q.Y}}}
+	}
+	body := func(fs ...feat) []byte {
+		var out struct {
+			Type     string `json:"type"`
+			Features []any  `json:"features"`
+		}
+		out.Type = "FeatureCollection"
+		for _, f := range fs {
+			out.Features = append(out.Features, map[string]any{"type": "Feature", "geometry": f.geom,
+				"properties": map[string]string{"x": f.iri, "layer": f.layer}})
+		}
+		data, _ := json.Marshal(out)
+		return data
+	}
+	full := []feat{hotspot(hotIRI, hotBox)}
+	for _, f := range within {
+		full = append(full, site(f))
+	}
+	if msg := checkFireMap(body(full...), "product/f1", p, feed); msg != "" {
+		t.Fatalf("complete map rejected: %s", msg)
+	}
+	for name, fs := range map[string][]feat{
+		"empty map":            nil,
+		"hotspots only":        {hotspot(hotIRI, hotBox)},
+		"a near site dropped":  full[:len(full)-1],
+		"a far site added":     append(append([]feat{}, full...), site(beyond[0])),
+		"rejected hotspot":     append(append([]feat{}, full...), hotspot(seaIRI, seaBox)),
+		"hotspot grown":        append([]feat{hotspot(hotIRI, box{24, 38, 24.05, 38.008})}, full[1:]...),
+		"kept hotspot dropped": full[1:],
+	} {
+		if checkFireMap(body(fs...), "product/f1", p, feed) == "" {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
